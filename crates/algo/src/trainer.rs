@@ -24,6 +24,7 @@ use marl_env::vecenv::VecParticleEnv;
 use marl_nn::gumbel::{relaxation_backward_segments_into, softmax_relaxation_segments_into};
 use marl_nn::loss::{mse_into, td_errors_into, weighted_mse_into};
 use marl_nn::matrix::Matrix;
+use marl_nn::mlp::Mlp;
 use marl_nn::scratch::Scratch;
 use marl_obs::metrics::{IS_WEIGHT_SCALE, PRIORITY_SCALE};
 use marl_obs::{KernelTally, SnapshotContext, Telemetry};
@@ -1232,8 +1233,14 @@ impl Trainer {
         self.rng = StdRng::from_state(state);
     }
 
-    /// Captures every agent's networks and optimizer state for a
-    /// parameter broadcast (the payload of a dist `Params` frame).
+    /// Every agent's actor network, in agent order (read-only; the
+    /// weights a remote rollout worker needs).
+    pub fn actors(&self) -> impl ExactSizeIterator<Item = &Mlp> + '_ {
+        self.agents.iter().map(|a| &a.actor)
+    }
+
+    /// Captures every agent's networks and optimizer state (checkpoints
+    /// and the dist `Welcome` admission message).
     pub fn agent_states(&self) -> Vec<crate::checkpoint::AgentState> {
         self.agents.iter().map(crate::checkpoint::AgentState::capture).collect()
     }

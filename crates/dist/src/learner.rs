@@ -264,9 +264,18 @@ impl Learner {
 
     fn params_msg(&mut self, lockstep: bool) -> Msg {
         let ctx = self.next_ctx();
+        let actors = self
+            .trainer
+            .actors()
+            .map(|actor| {
+                let mut weights = Vec::with_capacity(actor.parameter_count());
+                actor.visit_params_ref(|p| weights.extend_from_slice(p));
+                weights
+            })
+            .collect();
         let msg = Msg::Params(Box::new(Params {
             epoch: self.epoch,
-            agents: self.trainer.agent_states(),
+            actors,
             master_rng: lockstep.then(|| self.trainer.master_rng_state()),
             ctx,
         }));

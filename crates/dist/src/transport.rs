@@ -6,7 +6,8 @@
 //! arrive in send order with no reordering or loss, which is what lets a
 //! dist run reproduce the single-process trainer bitwise. The stream
 //! transports add deadline-based reads (`set_read_timeout`) on top of
-//! OS byte streams.
+//! OS byte streams, a true nonblocking zero-timeout poll, and
+//! per-connection frame buffers that are reused across frames.
 //!
 //! With the `failpoints` feature, two sites are armed from tests:
 //! `transport::send` (corrupt/truncate/delay an encoded frame before it
@@ -35,6 +36,10 @@ pub trait Transport: Send {
     fn send(&mut self, msg: &Msg) -> Result<(), DistError>;
 
     /// Receives one message, blocking up to `timeout`.
+    ///
+    /// `Duration::ZERO` is a poll: it returns [`DistError::Timeout`] at
+    /// once when no frame has started arriving, and never sleeps. A
+    /// frame that has started is read to its end, as with any timeout.
     ///
     /// # Errors
     ///
@@ -166,6 +171,22 @@ impl Transport for LoopbackTransport {
 // Byte-stream transports (Unix socket / TCP)
 // ---------------------------------------------------------------------
 
+/// Largest frame buffer a [`StreamTransport`] keeps for reuse. Hot
+/// frames (`Steps`, actor-only `Params`) fit well inside it; a one-off
+/// multi-megabyte `Welcome` buffer is released instead of pinned for the
+/// connection's lifetime.
+const RETAIN_CAP: usize = 1 << 20;
+
+/// Returns `buf` for reuse, or an empty buffer when it grew past
+/// [`RETAIN_CAP`].
+fn retain(buf: Vec<u8>) -> Vec<u8> {
+    if buf.capacity() <= RETAIN_CAP {
+        buf
+    } else {
+        Vec::new()
+    }
+}
+
 /// The underlying OS byte stream of a [`StreamTransport`].
 #[derive(Debug)]
 enum StreamKind {
@@ -181,10 +202,21 @@ enum StreamKind {
 /// stream cannot trust a corrupt length field to find the next frame
 /// boundary, so callers must treat them as connection-fatal and
 /// reconnect (the worker side does, with backoff).
+///
+/// A zero-timeout [`Transport::recv_timeout`] polls by switching the
+/// socket to nonblocking for one `read`. `O_NONBLOCK` belongs to the
+/// open file, which [`StreamTransport::try_clone`] and
+/// [`Transport::split_recv`] handles share, so zero polls are only for
+/// unsplit connections: a reader thread on a split handle could see a
+/// spurious early timeout while another handle polls.
 #[derive(Debug)]
 pub struct StreamTransport {
     stream: StreamKind,
     frame_deadline: Duration,
+    /// Reused encode buffer of [`Transport::send`].
+    tx: Vec<u8>,
+    /// Reused receive buffer of [`Transport::recv_timeout`].
+    rx: Vec<u8>,
 }
 
 impl StreamTransport {
@@ -200,20 +232,18 @@ impl StreamTransport {
 
     /// Wraps a connected Unix socket.
     pub fn unix(stream: UnixStream) -> Self {
-        StreamTransport {
-            stream: StreamKind::Unix(stream),
-            frame_deadline: Self::DEFAULT_FRAME_DEADLINE,
-        }
+        Self::new(StreamKind::Unix(stream), Self::DEFAULT_FRAME_DEADLINE)
+    }
+
+    fn new(stream: StreamKind, frame_deadline: Duration) -> Self {
+        StreamTransport { stream, frame_deadline, tx: Vec::new(), rx: Vec::new() }
     }
 
     /// Wraps a connected TCP socket (Nagle disabled: frames are latency-
     /// sensitive parameter/step exchanges).
     pub fn tcp(stream: TcpStream) -> Self {
         let _ = stream.set_nodelay(true);
-        StreamTransport {
-            stream: StreamKind::Tcp(stream),
-            frame_deadline: Self::DEFAULT_FRAME_DEADLINE,
-        }
+        Self::new(StreamKind::Tcp(stream), Self::DEFAULT_FRAME_DEADLINE)
     }
 
     /// Builder form of [`StreamTransport::set_frame_deadline`].
@@ -248,7 +278,7 @@ impl StreamTransport {
             StreamKind::Unix(s) => StreamKind::Unix(s.try_clone()?),
             StreamKind::Tcp(s) => StreamKind::Tcp(s.try_clone()?),
         };
-        Ok(StreamTransport { stream, frame_deadline: self.frame_deadline })
+        Ok(Self::new(stream, self.frame_deadline))
     }
 
     fn set_read_timeout(&mut self, timeout: Duration) -> Result<(), DistError> {
@@ -261,6 +291,13 @@ impl StreamTransport {
         Ok(())
     }
 
+    fn set_nonblocking(&mut self, nonblocking: bool) -> std::io::Result<()> {
+        match &mut self.stream {
+            StreamKind::Unix(s) => s.set_nonblocking(nonblocking),
+            StreamKind::Tcp(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match &mut self.stream {
             StreamKind::Unix(s) => s.read(buf),
@@ -268,56 +305,89 @@ impl StreamTransport {
         }
     }
 
-    /// Fills `buf` completely. The *first* byte is awaited up to
-    /// `first_timeout`; timing out there is clean (nothing consumed, the
-    /// stream stays framed) and surfaces as [`DistError::Timeout`]. Once
-    /// any byte has arrived the peer has committed to a frame, so the
-    /// rest is awaited up to the connection's frame deadline per read
-    /// and a timeout mid-buffer is [`DistError::Truncated`] —
-    /// connection-fatal, because a byte stream cannot resync mid-frame.
-    fn read_full(&mut self, buf: &mut [u8], first_timeout: Duration) -> Result<(), DistError> {
-        if buf.is_empty() {
-            return Ok(());
+    /// Reads the first bytes of a frame into `buf` (non-empty) and
+    /// returns how many arrived. They are awaited up to `first_timeout`;
+    /// timing out there is clean (nothing consumed, the stream stays
+    /// framed) and surfaces as [`DistError::Timeout`]. A zero timeout
+    /// is one nonblocking `read` that never arms `SO_RCVTIMEO` (whose
+    /// shortest wait the kernel rounds up to a scheduler tick). On
+    /// success the connection's frame deadline is armed for the rest.
+    fn read_start(&mut self, buf: &mut [u8], first_timeout: Duration) -> Result<usize, DistError> {
+        let poll = first_timeout.is_zero();
+        if poll {
+            self.set_nonblocking(true)?;
+        } else {
+            self.set_read_timeout(first_timeout)?;
         }
-        self.set_read_timeout(first_timeout)?;
-        let mut got = 0usize;
-        loop {
+        let read = loop {
+            match self.read(buf) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                other => break other,
+            }
+        };
+        if poll {
+            self.set_nonblocking(false)?;
+        }
+        match read {
+            Ok(0) => Err(DistError::Disconnected),
+            Ok(n) => {
+                // Committed: the rest of the frame gets patience.
+                let deadline = self.frame_deadline;
+                self.set_read_timeout(deadline)?;
+                Ok(n)
+            }
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                Err(DistError::Timeout { site: "recv", after_ms: first_timeout.as_millis() as u64 })
+            }
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Fills `buf[got..]` under the frame deadline that
+    /// [`StreamTransport::read_start`] armed. A timeout or EOF here is
+    /// [`DistError::Truncated`] — connection-fatal, because a byte
+    /// stream cannot resync mid-frame.
+    fn read_rest(&mut self, buf: &mut [u8], mut got: usize) -> Result<(), DistError> {
+        while got < buf.len() {
             match self.read(&mut buf[got..]) {
-                Ok(0) => {
-                    return if got == 0 {
-                        Err(DistError::Disconnected)
-                    } else {
-                        Err(DistError::Truncated { needed: buf.len(), got })
-                    };
-                }
-                Ok(n) => {
-                    if got == 0 {
-                        // Committed: the rest of the frame gets patience.
-                        let deadline = self.frame_deadline;
-                        self.set_read_timeout(deadline)?;
-                    }
-                    got += n;
-                    if got == buf.len() {
-                        return Ok(());
-                    }
-                }
+                Ok(0) => return Err(DistError::Truncated { needed: buf.len(), got }),
+                Ok(n) => got += n,
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
                 {
-                    return if got == 0 {
-                        Err(DistError::Timeout {
-                            site: "recv",
-                            after_ms: first_timeout.as_millis() as u64,
-                        })
-                    } else {
-                        Err(DistError::Truncated { needed: buf.len(), got })
-                    };
+                    return Err(DistError::Truncated { needed: buf.len(), got });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e.into()),
             }
         }
+        Ok(())
+    }
+
+    /// Receives one whole frame (header + payload) into `buf`, cleared
+    /// and refilled in place so its capacity is reused. The header is
+    /// validated — kind and length included — before the body buffer is
+    /// sized.
+    fn recv_frame_into(
+        &mut self,
+        buf: &mut Vec<u8>,
+        first_timeout: Duration,
+    ) -> Result<(), DistError> {
+        let mut header = [0u8; wire::HEADER_LEN];
+        let got = self.read_start(&mut header, first_timeout)?;
+        self.read_rest(&mut header, got)?;
+        let parsed = wire::decode_header(&header)?;
+        buf.clear();
+        buf.reserve(wire::HEADER_LEN + parsed.len);
+        buf.extend_from_slice(&header);
+        buf.resize(wire::HEADER_LEN + parsed.len, 0);
+        self.read_rest(buf, wire::HEADER_LEN)?;
+        recv_failpoint(buf);
+        Ok(())
     }
 
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
@@ -365,18 +435,7 @@ impl StreamTransport {
         buf: &mut Vec<u8>,
         first_timeout: Duration,
     ) -> Result<u16, DistError> {
-        let mut header = [0u8; wire::HEADER_LEN];
-        self.read_full(&mut header, first_timeout)?;
-        let parsed = wire::decode_header(&header)?;
-        buf.clear();
-        buf.resize(wire::HEADER_LEN + parsed.len, 0);
-        buf[..wire::HEADER_LEN].copy_from_slice(&header);
-        let deadline = self.frame_deadline;
-        let body = &mut buf[wire::HEADER_LEN..];
-        if !body.is_empty() {
-            self.read_full(body, deadline)?;
-        }
-        recv_failpoint(buf);
+        self.recv_frame_into(buf, first_timeout)?;
         let (kind, _) = wire::decode_raw_frame(buf)?;
         Ok(kind)
     }
@@ -384,30 +443,21 @@ impl StreamTransport {
 
 impl Transport for StreamTransport {
     fn send(&mut self, msg: &Msg) -> Result<(), DistError> {
-        let mut bytes = wire::encode_frame(msg);
-        send_failpoint(&mut bytes);
-        self.write_all(&bytes)?;
+        let mut frame = std::mem::take(&mut self.tx);
+        wire::encode_frame_into(msg, &mut frame);
+        send_failpoint(&mut frame);
+        let sent = self.write_all(&frame);
+        self.tx = retain(frame);
+        sent?;
         Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Msg, DistError> {
-        let mut header = [0u8; wire::HEADER_LEN];
-        self.read_full(&mut header, timeout)?;
-        let parsed = wire::decode_header(&header)?;
-        let mut frame = Vec::with_capacity(wire::HEADER_LEN + parsed.len);
-        frame.extend_from_slice(&header);
-        frame.resize(wire::HEADER_LEN + parsed.len, 0);
-        // The header arrived; the peer has committed a frame, so the body
-        // is awaited patiently. A peer that dies mid-frame surfaces as
-        // Truncated, which callers treat as connection-fatal (streams
-        // cannot resync mid-frame).
-        let deadline = self.frame_deadline;
-        let body = &mut frame[wire::HEADER_LEN..];
-        if !body.is_empty() {
-            self.read_full(body, deadline)?;
-        }
-        recv_failpoint(&mut frame);
-        wire::decode_frame(&frame)
+        let mut frame = std::mem::take(&mut self.rx);
+        let msg =
+            self.recv_frame_into(&mut frame, timeout).and_then(|()| wire::decode_frame(&frame));
+        self.rx = retain(frame);
+        msg
     }
 
     fn split_recv(&self) -> Option<Box<dyn Transport>> {
@@ -545,6 +595,112 @@ mod tests {
         let mut buf = Vec::new();
         let err = b.recv_raw_into(&mut buf, Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, DistError::Timeout { site: "recv", .. }), "{err}");
+    }
+
+    #[test]
+    fn zero_timeout_poll_on_an_empty_socket_returns_at_once() {
+        let (sa, sb) = UnixStream::pair().expect("socketpair");
+        let _a = StreamTransport::unix(sa);
+        let mut b = StreamTransport::unix(sb);
+        // An SO_RCVTIMEO read waits at least one scheduler tick (4-10 ms);
+        // a real poll is a single nonblocking read. Retry the batch so a
+        // descheduled test thread cannot fail it spuriously.
+        let slowest = (0..3)
+            .map(|_| {
+                (0..50)
+                    .map(|_| {
+                        let t0 = std::time::Instant::now();
+                        let err = b.recv_timeout(Duration::ZERO).unwrap_err();
+                        assert!(matches!(err, DistError::Timeout { site: "recv", .. }), "{err}");
+                        t0.elapsed()
+                    })
+                    .max()
+                    .unwrap()
+            })
+            .min()
+            .unwrap();
+        assert!(slowest < Duration::from_millis(1), "slowest poll took {slowest:?}");
+    }
+
+    #[test]
+    fn timed_recv_after_a_poll_still_blocks_then_gets_its_frame() {
+        let (sa, sb) = UnixStream::pair().expect("socketpair");
+        let mut a = StreamTransport::unix(sa);
+        let mut b = StreamTransport::unix(sb);
+        assert!(matches!(b.recv_timeout(Duration::ZERO), Err(DistError::Timeout { .. })));
+        // The socket is blocking again: an empty timed read waits.
+        let t0 = std::time::Instant::now();
+        assert!(matches!(
+            b.recv_timeout(Duration::from_millis(40)),
+            Err(DistError::Timeout { .. })
+        ));
+        assert!(t0.elapsed() >= Duration::from_millis(30), "waited {:?}", t0.elapsed());
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            a.send(&hb(21)).unwrap();
+            a
+        });
+        assert_eq!(seq_of(&b.recv_timeout(Duration::from_secs(5)).unwrap()), 21);
+        drop(sender.join().unwrap());
+    }
+
+    #[test]
+    fn poll_that_sees_a_partial_header_commits_to_the_frame() {
+        let (sa, sb) = UnixStream::pair().expect("socketpair");
+        let mut a = StreamTransport::unix(sa);
+        let mut b = StreamTransport::unix(sb);
+        let first = wire::encode_frame(&hb(1));
+        a.send_raw(&first[..5]).unwrap();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            a.send_raw(&first[5..]).unwrap();
+            a.send(&hb(2)).unwrap();
+            a
+        });
+        // The poll finds five header bytes (the sender's sleep makes that
+        // the likely interleaving; either way the frame must arrive whole):
+        // the frame is committed, and the rest is awaited under the frame
+        // deadline.
+        assert_eq!(seq_of(&b.recv_timeout(Duration::ZERO).unwrap()), 1);
+        assert_eq!(seq_of(&b.recv_timeout(Duration::from_secs(5)).unwrap()), 2);
+        drop(sender.join().unwrap());
+    }
+
+    #[test]
+    fn forged_unknown_kind_header_is_rejected_without_reading_a_body() {
+        let (sa, sb) = UnixStream::pair().expect("socketpair");
+        let mut a = StreamTransport::unix(sa);
+        let mut b = StreamTransport::unix(sb);
+        let mut header = wire::encode_frame(&hb(1))[..wire::HEADER_LEN].to_vec();
+        header[6..8].copy_from_slice(&99u16.to_le_bytes());
+        header[8..12].copy_from_slice(&(wire::MAX_PAYLOAD as u32).to_le_bytes());
+        a.send_raw(&header).unwrap();
+        a.send_raw(&header).unwrap();
+        // No body follows: reading one would wait out the 10 s frame
+        // deadline and size a 256 MiB buffer.
+        let t0 = std::time::Instant::now();
+        let err = b.recv_timeout(Duration::from_secs(1)).unwrap_err();
+        assert!(matches!(&err, DistError::Protocol(m) if m.contains("kind 99")), "{err}");
+        let mut buf = Vec::new();
+        let err = b.recv_raw_into(&mut buf, Duration::from_secs(1)).unwrap_err();
+        assert!(matches!(&err, DistError::Protocol(m) if m.contains("kind 99")), "{err}");
+        assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
+        assert_eq!(buf.capacity(), 0, "no body buffer may be sized");
+    }
+
+    #[test]
+    fn stream_send_and_recv_reuse_their_frame_buffers() {
+        let (sa, sb) = UnixStream::pair().expect("socketpair");
+        let mut a = StreamTransport::unix(sa);
+        let mut b = StreamTransport::unix(sb);
+        a.send(&hb(1)).unwrap();
+        b.recv_timeout(Duration::from_secs(1)).unwrap();
+        let (tx, rx) = (a.tx.as_ptr(), b.rx.as_ptr());
+        for seq in 2..6 {
+            a.send(&hb(seq)).unwrap();
+            assert_eq!(seq_of(&b.recv_timeout(Duration::from_secs(1)).unwrap()), seq);
+        }
+        assert_eq!((a.tx.as_ptr(), b.rx.as_ptr()), (tx, rx));
     }
 
     #[test]

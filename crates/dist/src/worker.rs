@@ -21,9 +21,8 @@
 use crate::backoff::Backoff;
 use crate::error::DistError;
 use crate::transport::Transport;
-use crate::wire::{Bye, EpisodeEnd, Heartbeat, HeartbeatAck, Hello, Msg, Steps, Welcome};
+use crate::wire::{Bye, EpisodeEnd, Heartbeat, HeartbeatAck, Hello, Msg, Params, Steps, Welcome};
 use marl_algo::agent::AgentNets;
-use marl_algo::checkpoint::AgentState;
 use marl_algo::config::TrainConfig;
 use marl_core::transition::Transition;
 use marl_env::env::ParticleEnv;
@@ -169,9 +168,8 @@ impl Worker {
                 agents.len()
             )));
         }
-        for (state, nets) in w.agents.iter().zip(&mut agents) {
+        for (state, nets) in w.agents.into_iter().zip(&mut agents) {
             state
-                .clone()
                 .restore(nets)
                 .map_err(|e| DistError::Protocol(format!("welcome parameters: {e}")))?;
         }
@@ -487,12 +485,7 @@ impl Worker {
         while timeouts < 12 {
             match transport.recv_timeout(per_wait) {
                 Ok(Msg::Params(p)) => {
-                    self.install_params(&p.agents)?;
-                    self.epoch = p.epoch;
-                    if let Some(state) = p.master_rng {
-                        self.rng = StdRng::from_state(state);
-                    }
-                    self.note_params_ctx(p.ctx);
+                    self.apply_params(&p)?;
                     return Ok(false);
                 }
                 // Heartbeat acks interleave freely with the handoff.
@@ -550,12 +543,7 @@ impl Worker {
     fn handle_control(&mut self, msg: Msg) -> Result<bool, DistError> {
         match msg {
             Msg::Params(p) => {
-                self.install_params(&p.agents)?;
-                self.epoch = p.epoch;
-                if let Some(state) = p.master_rng {
-                    self.rng = StdRng::from_state(state);
-                }
-                self.note_params_ctx(p.ctx);
+                self.apply_params(&p)?;
                 Ok(false)
             }
             Msg::HeartbeatAck(a) => {
@@ -569,20 +557,39 @@ impl Worker {
         }
     }
 
-    fn install_params(&mut self, states: &[AgentState]) -> Result<(), DistError> {
-        if states.len() != self.agents.len() {
+    /// Installs a parameter broadcast: actor weights are copied into
+    /// the worker's actors in place, after every agent's weight count is
+    /// checked against its actor, so a malformed frame changes nothing.
+    fn apply_params(&mut self, p: &Params) -> Result<(), DistError> {
+        if p.actors.len() != self.agents.len() {
             return Err(DistError::Protocol(format!(
-                "params carry {} agents but the worker has {}",
-                states.len(),
+                "params carry {} actors but the worker has {}",
+                p.actors.len(),
                 self.agents.len()
             )));
         }
-        for (state, nets) in states.iter().zip(&mut self.agents) {
-            state
-                .clone()
-                .restore(nets)
-                .map_err(|e| DistError::Protocol(format!("broadcast parameters: {e}")))?;
+        for (i, (weights, nets)) in p.actors.iter().zip(&self.agents).enumerate() {
+            let want = nets.actor.parameter_count();
+            if weights.len() != want {
+                return Err(DistError::Protocol(format!(
+                    "params carry {} weights for actor {i}, which has {want}",
+                    weights.len()
+                )));
+            }
         }
+        for (weights, nets) in p.actors.iter().zip(&mut self.agents) {
+            let mut rest = weights.as_slice();
+            nets.actor.visit_params(|param, _| {
+                let (head, tail) = rest.split_at(param.len());
+                param.copy_from_slice(head);
+                rest = tail;
+            });
+        }
+        self.epoch = p.epoch;
+        if let Some(state) = p.master_rng {
+            self.rng = StdRng::from_state(state);
+        }
+        self.note_params_ctx(p.ctx);
         Ok(())
     }
 }
@@ -732,4 +739,68 @@ where
         }
     }
     (stats, Err(last_err))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use marl_algo::{Algorithm, Task, Trainer};
+
+    fn worker_and_trainer() -> (Worker, Trainer) {
+        let config = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3);
+        let mut trainer = Trainer::new(config).expect("trainer builds");
+        trainer.set_master_rng_state([9, 8, 7, 6]);
+        let worker = Worker::from_welcome(Welcome {
+            worker_id: 0,
+            epoch: 0,
+            config,
+            agents: trainer.agent_states(),
+            master_rng: trainer.master_rng_state(),
+            env_rng: None,
+            env_steps: 0,
+            samples_since_update: 0,
+            replay_len: 0,
+            episodes: 1,
+            lockstep: true,
+            steps_per_frame: 1,
+        })
+        .expect("worker builds");
+        (worker, trainer)
+    }
+
+    fn actor_bits(actor: &marl_nn::mlp::Mlp) -> Vec<u32> {
+        let mut bits = Vec::new();
+        actor.visit_params_ref(|p| bits.extend(p.iter().map(|x| x.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn params_install_actor_weights_in_visit_order_after_checking_counts() {
+        let (mut worker, trainer) = worker_and_trainer();
+        let before: Vec<Vec<u32>> = worker.agents.iter().map(|a| actor_bits(&a.actor)).collect();
+        let mut actors: Vec<Vec<f32>> = trainer
+            .actors()
+            .enumerate()
+            .map(|(i, a)| (0..a.parameter_count()).map(|k| (i * 100_000 + k) as f32).collect())
+            .collect();
+        // One weight short on the last actor: rejected, nothing installed.
+        actors[2].pop();
+        let params = |actors: Vec<Vec<f32>>| {
+            Msg::Params(Box::new(Params { epoch: 4, actors, master_rng: None, ctx: None }))
+        };
+        let err = worker.handle_control(params(actors.clone())).unwrap_err();
+        assert!(matches!(err, DistError::Protocol(_)), "{err}");
+        let after: Vec<Vec<u32>> = worker.agents.iter().map(|a| actor_bits(&a.actor)).collect();
+        assert_eq!(before, after, "a rejected broadcast must change no actor");
+        assert_eq!(worker.epoch, 0);
+
+        let last = actors[2].len();
+        actors[2].push(last as f32);
+        worker.handle_control(params(actors.clone())).expect("well-formed broadcast installs");
+        for (a, sent) in worker.agents.iter().zip(&actors) {
+            let sent_bits: Vec<u32> = sent.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(actor_bits(&a.actor), sent_bits);
+        }
+        assert_eq!(worker.epoch, 4);
+    }
 }

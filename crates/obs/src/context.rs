@@ -2,8 +2,9 @@
 //!
 //! A [`TraceCtx`] is three little-endian `u64`s — trace id, sending span
 //! id, and the sender's send timestamp — stamped onto MARD frames
-//! (`Steps`/`EpisodeEnd`/`Params` as an optional JSON field, serve's
-//! `InferReq`/`InferResp` as a fixed 24-byte binary trailer). It is
+//! (an optional 24-byte field of the binary `Steps`/`Params` payloads,
+//! an optional JSON field of `EpisodeEnd`, and serve's
+//! `InferReq`/`InferResp` fixed 24-byte binary trailer). It is
 //! `Copy` and fixed-size, so stamping and echoing it costs no
 //! steady-state allocation, and the receiver can pair its local `recv`
 //! span with the sender's `send` span through the shared span id

@@ -1,10 +1,11 @@
 //! The binary serve protocol riding inside `MARD` frames.
 //!
-//! The actor–learner protocol serializes JSON because its messages are
-//! large and rare; a serve request is a few hundred bytes at high rate,
-//! so these payloads are fixed-layout little-endian binary and every
-//! encode/decode works against caller-owned reusable buffers — the
-//! steady-state request path never allocates.
+//! Like the actor–learner `Steps` and `Params` frames, these payloads
+//! are fixed-layout little-endian binary, written and read with the
+//! shared `marl_dist::wire` helpers. A serve request is a few hundred
+//! bytes at high rate, so every encode/decode works against
+//! caller-owned reusable buffers — the steady-state request path never
+//! allocates.
 //!
 //! Payload layouts (all integers little-endian). Request and response
 //! payloads end in a fixed 24-byte trace-context trailer
@@ -21,7 +22,10 @@
 //! KIND_SERVE_CTL   op u32
 //! ```
 
-use marl_dist::wire::{self, KIND_INFER_ERR, KIND_INFER_REQ, KIND_INFER_RESP, KIND_SERVE_CTL};
+use marl_dist::wire::{
+    self, get_f32s_into, get_u32, get_u64, put_f32s, put_u32, put_u64, KIND_INFER_ERR,
+    KIND_INFER_REQ, KIND_INFER_RESP, KIND_SERVE_CTL,
+};
 use marl_dist::DistError;
 use marl_obs::context::{TraceCtx, TRACE_CTX_WIRE_LEN};
 
@@ -40,12 +44,10 @@ pub const ERR_BAD_OBS_DIM: u32 = 2;
 /// Untraced callers pass [`TraceCtx::NONE`].
 pub fn encode_request(req_id: u64, agent: u32, obs: &[f32], ctx: TraceCtx, frame: &mut Vec<u8>) {
     wire::begin_raw_frame(frame);
-    frame.extend_from_slice(&req_id.to_le_bytes());
-    frame.extend_from_slice(&agent.to_le_bytes());
-    frame.extend_from_slice(&(obs.len() as u32).to_le_bytes());
-    for x in obs {
-        frame.extend_from_slice(&x.to_le_bytes());
-    }
+    put_u64(frame, req_id);
+    put_u32(frame, agent);
+    put_u32(frame, obs.len() as u32);
+    put_f32s(frame, obs);
     ctx.write_to(frame);
     wire::finish_raw_frame(KIND_INFER_REQ, frame);
 }
@@ -64,9 +66,9 @@ pub fn decode_request_into(
     if payload.len() < 16 + TRACE_CTX_WIRE_LEN {
         return Err(DistError::Protocol(format!("infer request too short: {}", payload.len())));
     }
-    let req_id = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-    let agent = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
-    let obs_len = u32::from_le_bytes(payload[12..16].try_into().expect("4 bytes")) as usize;
+    let req_id = get_u64(payload, 0);
+    let agent = get_u32(payload, 8);
+    let obs_len = get_u32(payload, 12) as usize;
     let body = &payload[16..];
     if body.len() != obs_len * 4 + TRACE_CTX_WIRE_LEN {
         return Err(DistError::Protocol(format!(
@@ -76,11 +78,7 @@ pub fn decode_request_into(
     }
     let ctx = TraceCtx::read_from(body).expect("length checked above");
     obs.clear();
-    obs.extend(
-        body[..obs_len * 4]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
-    );
+    get_f32s_into(&body[..obs_len * 4], obs);
     Ok((req_id, agent, ctx))
 }
 
@@ -96,14 +94,12 @@ pub fn encode_response(
     frame: &mut Vec<u8>,
 ) {
     wire::begin_raw_frame(frame);
-    frame.extend_from_slice(&req_id.to_le_bytes());
-    frame.extend_from_slice(&epoch.to_le_bytes());
-    frame.extend_from_slice(&agent.to_le_bytes());
-    frame.extend_from_slice(&action.to_le_bytes());
-    frame.extend_from_slice(&(logits.len() as u32).to_le_bytes());
-    for x in logits {
-        frame.extend_from_slice(&x.to_le_bytes());
-    }
+    put_u64(frame, req_id);
+    put_u64(frame, epoch);
+    put_u32(frame, agent);
+    put_u32(frame, action);
+    put_u32(frame, logits.len() as u32);
+    put_f32s(frame, logits);
     ctx.write_to(frame);
     wire::finish_raw_frame(KIND_INFER_RESP, frame);
 }
@@ -133,11 +129,11 @@ pub fn decode_response_into(payload: &[u8], logits: &mut Vec<f32>) -> Result<Res
     if payload.len() < 28 + TRACE_CTX_WIRE_LEN {
         return Err(DistError::Protocol(format!("infer response too short: {}", payload.len())));
     }
-    let req_id = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-    let epoch = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-    let agent = u32::from_le_bytes(payload[16..20].try_into().expect("4 bytes"));
-    let action = u32::from_le_bytes(payload[20..24].try_into().expect("4 bytes"));
-    let logit_len = u32::from_le_bytes(payload[24..28].try_into().expect("4 bytes")) as usize;
+    let req_id = get_u64(payload, 0);
+    let epoch = get_u64(payload, 8);
+    let agent = get_u32(payload, 16);
+    let action = get_u32(payload, 20);
+    let logit_len = get_u32(payload, 24) as usize;
     let body = &payload[28..];
     if body.len() != logit_len * 4 + TRACE_CTX_WIRE_LEN {
         return Err(DistError::Protocol(format!(
@@ -147,19 +143,15 @@ pub fn decode_response_into(payload: &[u8], logits: &mut Vec<f32>) -> Result<Res
     }
     let ctx = TraceCtx::read_from(body).expect("length checked above");
     logits.clear();
-    logits.extend(
-        body[..logit_len * 4]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
-    );
+    get_f32s_into(&body[..logit_len * 4], logits);
     Ok(Response { req_id, epoch, agent, action, ctx })
 }
 
 /// Builds a complete inference-error frame into `frame`.
 pub fn encode_error(req_id: u64, code: u32, frame: &mut Vec<u8>) {
     wire::begin_raw_frame(frame);
-    frame.extend_from_slice(&req_id.to_le_bytes());
-    frame.extend_from_slice(&code.to_le_bytes());
+    put_u64(frame, req_id);
+    put_u32(frame, code);
     wire::finish_raw_frame(KIND_INFER_ERR, frame);
 }
 
@@ -172,15 +164,13 @@ pub fn decode_error(payload: &[u8]) -> Result<(u64, u32), DistError> {
     if payload.len() != 12 {
         return Err(DistError::Protocol(format!("infer error payload: {} bytes", payload.len())));
     }
-    let req_id = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-    let code = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
-    Ok((req_id, code))
+    Ok((get_u64(payload, 0), get_u32(payload, 8)))
 }
 
 /// Builds a complete control frame into `frame`.
 pub fn encode_ctl(op: u32, frame: &mut Vec<u8>) {
     wire::begin_raw_frame(frame);
-    frame.extend_from_slice(&op.to_le_bytes());
+    put_u32(frame, op);
     wire::finish_raw_frame(KIND_SERVE_CTL, frame);
 }
 
@@ -193,7 +183,7 @@ pub fn decode_ctl(payload: &[u8]) -> Result<u32, DistError> {
     if payload.len() != 4 {
         return Err(DistError::Protocol(format!("ctl payload: {} bytes", payload.len())));
     }
-    Ok(u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")))
+    Ok(get_u32(payload, 0))
 }
 
 #[cfg(test)]

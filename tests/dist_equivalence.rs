@@ -16,9 +16,12 @@ use marl_repro::algo::trace::UpdateTraceRecorder;
 use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
 use marl_repro::core::SamplerConfig;
 use marl_repro::dist::{
-    loopback_pair, run_worker, Backoff, DistError, Learner, LearnerOptions, Transport,
+    loopback_pair, run_worker, Backoff, DistError, Learner, LearnerOptions, StreamTransport,
+    Transport, Worker,
 };
 use marl_repro::nn::kernels::KernelChoice;
+use std::os::unix::net::UnixStream;
+use std::sync::mpsc;
 use std::time::Duration;
 
 mod common;
@@ -154,4 +157,43 @@ fn lockstep_final_parameters_match_single_process() {
     assert_eq!(learner.episodes_recorded(), cfg.episodes);
     let dist_states = serde_json::to_string(&learner.trainer().agent_states()).unwrap();
     assert_eq!(single_states, dist_states, "final parameters diverged");
+}
+
+/// Lockstep over a real Unix socket pair, with a heartbeat every env
+/// step and a long warmup (no update, hence no blocking `Params` wait,
+/// for 1500 steps): the learner's acks would overflow the socket buffer
+/// unless the worker drains them with its zero-timeout poll at every
+/// episode end, and both ends would then block in `send` forever. The
+/// run must complete and stay bitwise-equal to the in-process trainer.
+#[test]
+fn socket_lockstep_drains_heartbeat_acks_and_stays_bitwise_identical() {
+    let mut cfg = dist_config(Algorithm::Maddpg).with_episodes(72).with_buffer_capacity(2048);
+    cfg.warmup = 1500;
+    cfg.update_every = 50;
+    let single = single_process_digests(cfg);
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let (a, b) = UnixStream::pair().expect("socketpair");
+        let worker = std::thread::spawn(move || {
+            let mut t = StreamTransport::unix(b);
+            let mut w = Worker::handshake(&mut t, 0, false)?.with_heartbeat_every(1);
+            w.run(&mut t)
+        });
+        let mut learner = Learner::new(cfg, LearnerOptions::default()).expect("learner builds");
+        learner.trainer_mut().attach_trace_recorder(UpdateTraceRecorder::new());
+        let served = learner.serve_lockstep(&mut StreamTransport::unix(a));
+        let worked = worker.join().expect("worker thread");
+        let _ = done_tx.send(());
+        (served, worked, learner.into_trainer().detach_trace_recorder())
+    });
+    if let Err(mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(120)) {
+        panic!("socket lockstep deadlocked");
+    }
+    let (served, worked, recorder) = runner.join().expect("runner thread");
+    served.expect("lockstep serve completes");
+    worked.expect("worker run completes");
+    let dist = recorder.expect("recorder attached").into_digests();
+    assert!(!single.is_empty(), "the run must reach its updates");
+    assert_eq!(single, dist);
 }
