@@ -151,16 +151,15 @@ pub struct RunState {
     /// Accumulated phase timings (restored so resumed reports keep the
     /// whole run's breakdown).
     pub profile: PhaseProfile,
-    /// Vectorized rollout only (K > 1): per-world exploration-noise RNG
-    /// states, world order. Empty on the scalar path (which draws noise
-    /// from `master_rng`), and `#[serde(default)]` so checkpoints written
-    /// before the vectorized engine existed deserialize unchanged.
+    /// K > 1 only: per-world exploration-noise RNG states, world order.
+    /// Empty at K = 1 (which draws noise from `master_rng`), and
+    /// `#[serde(default)]` so checkpoints written before this field
+    /// existed deserialize unchanged.
     #[serde(default)]
     pub rollout_rngs: Vec<[u64; 4]>,
-    /// Vectorized rollout only (K > 1): per-world environment RNG states
-    /// for worlds 1..K (world 0 lives in `env_rng`, keeping K = 1
-    /// checkpoints byte-identical to the scalar path's). Also
-    /// `#[serde(default)]`.
+    /// K > 1 only: per-world environment RNG states for worlds 1..K
+    /// (world 0 lives in `env_rng`, so K = 1 checkpoints keep the layout
+    /// they had before this field existed). Also `#[serde(default)]`.
     #[serde(default)]
     pub vec_env_rngs: Vec<[u64; 4]>,
 }

@@ -112,8 +112,9 @@ pub struct TrainConfig {
     /// written before this field existed deserialize unchanged.
     #[serde(default)]
     pub kernel: marl_nn::kernels::KernelChoice,
-    /// Parallel environments stepped per rollout batch (K). 1 keeps the
-    /// legacy scalar rollout; K > 1 switches to the vectorized SoA engine.
+    /// Environment worlds the rollout engine steps per batch (K). At 1
+    /// exploration noise comes from the master RNG; K > 1 adds one
+    /// checkpointed noise and env stream per extra world.
     /// `#[serde(default)]` (0) is normalized to 1 by
     /// [`TrainConfig::num_envs`], so pre-existing checkpoints deserialize
     /// unchanged.

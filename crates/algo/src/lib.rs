@@ -8,6 +8,9 @@
 //!   MLPs, Adam @ 0.01, γ = 0.95, τ = 0.01, batch 1024, updates every 100
 //!   samples) plus builder-style overrides for scaled runs.
 //! * [`agent`] — the four (six for MATD3) networks of one agent.
+//! * [`rollout`] — the rollout engine: K worlds stepped in lockstep with
+//!   batched action selection over the actors; training, evaluation,
+//!   prefill and the distributed worker all step it.
 //! * [`trainer`] — the training loop, decomposed into the paper's phases:
 //!   action selection / environment step / bookkeeping / mini-batch
 //!   sampling / target-Q / Q-loss–P-loss / soft updates.
@@ -41,6 +44,7 @@ pub mod eval;
 pub mod explore;
 #[cfg(feature = "failpoints")]
 pub mod failpoint;
+pub mod rollout;
 pub mod sentinel;
 pub mod trace;
 pub mod trainer;
@@ -54,6 +58,7 @@ pub use config::{Algorithm, LayoutMode, Task, TrainConfig};
 pub use error::TrainError;
 pub use eval::RewardCurve;
 pub use explore::{ExplorationSchedule, LinearSchedule};
+pub use rollout::Rollout;
 pub use sentinel::{DivergenceReport, SentinelConfig};
 pub use trace::{UpdateDigest, UpdateTraceRecorder};
 pub use trainer::{train, SamplingTelemetry, TrainReport, Trainer};

@@ -2,10 +2,10 @@
 //! machine-readable JSON (`BENCH_pr6.json`).
 //!
 //! Measures env-steps/sec of the rollout engine at K ∈ {1, 4, 8} worlds
-//! under the scalar and SIMD kernels. K = 1 takes the legacy scalar
-//! rollout path (one world, per-row inference); K > 1 drives the
-//! vectorized engine — SoA physics across worlds, one batched
-//! `forward_inference_into` per agent, batched replay pushes. Updates
+//! under the scalar and SIMD kernels. Every leg drives the one rollout
+//! engine — SoA physics across worlds, one batched
+//! `forward_inference_into` per agent, batched replay pushes; K = 1 is
+//! that engine at one world. Updates
 //! are suppressed (warmup = capacity) so the numbers isolate rollout
 //! throughput; the headline figure is the K = 8 SIMD speedup over the
 //! K = 1 scalar baseline.

@@ -1,16 +1,21 @@
 //! The rollout worker: owns an environment and actor networks, streams
 //! transition batches to the learner, and receives parameter broadcasts.
 //!
+//! The worker keeps only what rollout needs: the actors from its
+//! `Welcome` (no critics, target networks or optimizer state) and a
+//! one-world [`Rollout`] — the engine the in-process trainer steps — so
+//! every exploration draw happens exactly as in `Trainer::run_episode`
+//! at K = 1.
+//!
 //! In **lockstep** mode (worker 0 over the deterministic loopback) the
 //! worker replicates the single-process episode loop draw-for-draw: it
-//! builds its networks from the same stream-1 RNG the trainer uses (so
-//! construction consumes identical draws), performs the exploration
-//! draws in `run_episode`'s exact order, mirrors the learner's replay
-//! fill and `samples_since_update` counter to predict update boundaries,
-//! and at each boundary hands its master-RNG state to the learner (whose
-//! sampling-plan draws continue the same interleaved stream) and blocks
-//! for the post-update state coming back. The resulting update digests
-//! are bitwise identical to a single-process run (test-enforced).
+//! explores from the learner's master-RNG state, mirrors the learner's
+//! replay fill and `samples_since_update` counter to predict update
+//! boundaries, and at each boundary hands its master-RNG state to the
+//! learner (whose sampling-plan draws continue the same interleaved
+//! stream) and blocks for the post-update state coming back. The
+//! resulting update digests are bitwise identical to a single-process
+//! run (test-enforced).
 //!
 //! In **free-running** mode (worker id > 0, or `lockstep: false`) the
 //! worker explores from its own derived stream (stream 5, sub-stream
@@ -22,11 +27,10 @@ use crate::backoff::Backoff;
 use crate::error::DistError;
 use crate::transport::Transport;
 use crate::wire::{Bye, EpisodeEnd, Heartbeat, HeartbeatAck, Hello, Msg, Params, Steps, Welcome};
-use marl_algo::agent::AgentNets;
 use marl_algo::config::TrainConfig;
+use marl_algo::rollout::Rollout;
 use marl_core::transition::Transition;
-use marl_env::env::ParticleEnv;
-use marl_env::spaces::ActionSpace;
+use marl_nn::mlp::Mlp;
 use marl_nn::rng::derive_seed;
 use marl_obs::clock::ClockOffset;
 use marl_obs::context::{span_id, TraceCtx};
@@ -72,12 +76,11 @@ pub enum RunOutcome {
 pub struct Worker {
     id: u32,
     config: TrainConfig,
-    env: ParticleEnv,
-    agents: Vec<AgentNets>,
+    /// The shared rollout engine, at one world.
+    rollout: Rollout,
+    /// One actor per agent, in agent order.
+    actors: Vec<Mlp>,
     rng: StdRng,
-    /// Per-agent action spaces (factor segments + joint index range),
-    /// mirroring the learner's trainer exactly.
-    action_spaces: Vec<ActionSpace>,
     epoch: u64,
     env_steps: u64,
     samples_since_update: usize,
@@ -128,58 +131,48 @@ impl Worker {
         }
     }
 
-    /// Builds a worker from an admission message: environment and
-    /// networks are constructed exactly as [`marl_algo::trainer::Trainer::new`]
-    /// constructs them (same stream-1 RNG, same draw order), then the
-    /// `Welcome`-carried parameters, RNG states, and counters overwrite
-    /// the fresh state.
+    /// Builds a worker from an admission message: a one-world rollout
+    /// engine for the configured scenario, the `Welcome`-carried actors
+    /// (each checked against its agent's observation and action widths),
+    /// and the carried RNG states and counters.
     ///
     /// # Errors
     ///
     /// [`DistError::Protocol`] when the configuration does not validate
-    /// or the carried parameters do not fit the architecture.
+    /// or the carried actors do not fit the scenario.
     pub fn from_welcome(w: Welcome) -> Result<Self, DistError> {
         let config = w.config;
         config
             .validate()
             .map_err(|e| DistError::Protocol(format!("welcome config invalid: {e}")))?;
         marl_nn::kernels::configure(config.kernel);
-        let mut env = config.task.make_env(config.agents, config.max_episode_len, config.seed);
-        let obs_dims: Vec<usize> = env.observation_spaces().iter().map(|s| s.dim).collect();
-        let action_spaces: Vec<ActionSpace> = env.action_spaces().to_vec();
-        let act_dims: Vec<usize> = action_spaces.iter().map(ActionSpace::flat_dim).collect();
-        let total_obs_dim: usize = obs_dims.iter().sum();
-        let joint_dim = total_obs_dim + act_dims.iter().sum::<usize>();
-        // Replicate the trainer's construction draws so a fresh lockstep
-        // worker arrives at the identical post-construction master state.
-        let mut rng = StdRng::seed_from_u64(derive_seed(config.seed, 1));
-        let twin = config.algorithm == marl_algo::config::Algorithm::Matd3;
-        let mut agents: Vec<AgentNets> = obs_dims
-            .iter()
-            .zip(&act_dims)
-            .map(|(&od, &ad)| {
-                AgentNets::new(od, ad, joint_dim, twin, config.learning_rate, &mut rng)
-            })
-            .collect();
-        if w.agents.len() != agents.len() {
+        let mut rollout = Rollout::new(&config, 1);
+        let env = rollout.env();
+        if w.agents.len() != env.trained_agents() {
             return Err(DistError::Protocol(format!(
                 "welcome carries {} agents but the config builds {}",
                 w.agents.len(),
-                agents.len()
+                env.trained_agents()
             )));
         }
-        for (state, nets) in w.agents.into_iter().zip(&mut agents) {
-            state
-                .restore(nets)
-                .map_err(|e| DistError::Protocol(format!("welcome parameters: {e}")))?;
+        let spaces = env.observation_spaces().into_iter().zip(env.action_spaces());
+        let mut actors = Vec::with_capacity(w.agents.len());
+        for (i, (state, (obs, act))) in w.agents.into_iter().zip(spaces).enumerate() {
+            let (got, want) =
+                ((state.actor.input_dim(), state.actor.output_dim()), (obs.dim, act.flat_dim()));
+            if got != want {
+                return Err(DistError::Protocol(format!(
+                    "welcome actor {i} maps {got:?} (inputs, outputs) but agent {i} needs {want:?}"
+                )));
+            }
+            actors.push(state.actor);
         }
-        rng = StdRng::from_state(w.master_rng);
         match w.env_rng {
-            Some(state) => env.set_rng_state(state),
+            Some(state) => rollout.restore_streams(state, &[], &[]),
             // Fresh free-running workers shard the env stream; worker 0
             // keeps its construction stream (== the single-process env).
             None if w.worker_id > 0 => {
-                env.set_rng_state(worker_env_state(config.seed, w.worker_id));
+                rollout.restore_streams(worker_env_state(config.seed, w.worker_id), &[], &[]);
             }
             None => {}
         }
@@ -187,10 +180,9 @@ impl Worker {
         Ok(Worker {
             id: w.worker_id,
             config,
-            env,
-            agents,
-            rng,
-            action_spaces,
+            rollout,
+            actors,
+            rng: StdRng::from_state(w.master_rng),
             epoch: w.epoch,
             env_steps: w.env_steps,
             samples_since_update: w.samples_since_update,
@@ -346,51 +338,35 @@ impl Worker {
         transport: &mut dyn Transport,
         control: Option<&mpsc::Receiver<Msg>>,
     ) -> Result<bool, DistError> {
-        let n = self.agents.len();
-        let mut obs = self.env.reset();
-        let mut episode_reward = vec![0.0f32; n];
+        let n = self.actors.len();
+        self.rollout.reset();
         let mut stop = false;
         loop {
-            // --- Action selection (run_episode's exact draw order) ---
             let (temperature, epsilon) = self.config.exploration.at(self.env_steps);
-            let mut action_idx = Vec::with_capacity(n);
-            let mut action_onehot = Vec::with_capacity(n);
-            for ((a, o), space) in self.agents.iter().zip(&obs).zip(&self.action_spaces) {
-                let (mut idx, mut hot) =
-                    a.act_explore_seg(o, space.segments(), temperature, &mut self.rng);
-                if epsilon > 0.0 && rand::Rng::gen::<f32>(&mut self.rng) < epsilon {
-                    idx = rand::Rng::gen_range(&mut self.rng, 0..space.joint_count());
-                    space.multi_hot(idx, &mut hot);
-                }
-                action_idx.push(idx);
-                action_onehot.push(hot);
-            }
-
-            // --- Environment execution ---
-            let mut step = self
-                .env
-                .step(&action_idx)
+            self.rollout.explore(&self.actors, temperature, epsilon, &mut self.rng);
+            let done = self
+                .rollout
+                .step(None)
                 .map_err(|e| DistError::Protocol(format!("environment step failed: {e}")))?;
             self.env_steps += 1;
 
-            // --- Accumulate the joint step ---
-            let done_flag = if step.done { 1.0 } else { 0.0 };
-            let transitions: Vec<Transition> = (0..n)
-                .map(|i| Transition {
-                    obs: std::mem::take(&mut obs[i]),
-                    action: std::mem::take(&mut action_onehot[i]),
-                    reward: step.rewards[i],
-                    next_obs: std::mem::take(&mut step.observations[i]),
-                    done: done_flag,
-                })
-                .collect();
-            for (er, r) in episode_reward.iter_mut().zip(&step.rewards) {
-                *er += r;
-            }
-            for (o, t) in obs.iter_mut().zip(&transitions) {
-                *o = t.next_obs.clone();
-            }
-            self.pending.push(transitions);
+            // --- Pack the joint step into the pending frame ---
+            let rollout = &self.rollout;
+            self.pending.push(
+                (0..n)
+                    .map(|a| {
+                        let t = rollout.transition(0, a, done);
+                        Transition {
+                            obs: t.obs.to_vec(),
+                            action: t.action.to_vec(),
+                            reward: t.reward,
+                            next_obs: t.next_obs.to_vec(),
+                            done: t.done,
+                        }
+                    })
+                    .collect(),
+            );
+            self.rollout.advance();
             self.replay_len = (self.replay_len + 1).min(self.config.buffer_capacity);
             self.samples_since_update += 1;
 
@@ -429,7 +405,7 @@ impl Worker {
                 }
             }
 
-            if step.done || stop {
+            if done || stop {
                 break;
             }
         }
@@ -445,13 +421,13 @@ impl Worker {
             }
             self.flush(transport, false)?;
         }
-        let mean_reward = episode_reward.iter().sum::<f32>() / n as f32;
+        let mean_reward = self.rollout.finish_episode();
         let ctx = self.next_ctx();
         transport.send(&Msg::EpisodeEnd(EpisodeEnd {
             worker_id: self.id,
             mean_reward,
             master_rng: self.rng.state(),
-            env_rng: self.env.rng_state(),
+            env_rng: self.rollout.env().rng_states()[0],
             env_steps: self.env_steps,
             samples_since_update: self.samples_since_update,
             ctx,
@@ -561,15 +537,15 @@ impl Worker {
     /// the worker's actors in place, after every agent's weight count is
     /// checked against its actor, so a malformed frame changes nothing.
     fn apply_params(&mut self, p: &Params) -> Result<(), DistError> {
-        if p.actors.len() != self.agents.len() {
+        if p.actors.len() != self.actors.len() {
             return Err(DistError::Protocol(format!(
                 "params carry {} actors but the worker has {}",
                 p.actors.len(),
-                self.agents.len()
+                self.actors.len()
             )));
         }
-        for (i, (weights, nets)) in p.actors.iter().zip(&self.agents).enumerate() {
-            let want = nets.actor.parameter_count();
+        for (i, (weights, actor)) in p.actors.iter().zip(&self.actors).enumerate() {
+            let want = actor.parameter_count();
             if weights.len() != want {
                 return Err(DistError::Protocol(format!(
                     "params carry {} weights for actor {i}, which has {want}",
@@ -577,9 +553,9 @@ impl Worker {
                 )));
             }
         }
-        for (weights, nets) in p.actors.iter().zip(&mut self.agents) {
+        for (weights, actor) in p.actors.iter().zip(&mut self.actors) {
             let mut rest = weights.as_slice();
-            nets.actor.visit_params(|param, _| {
+            actor.visit_params(|param, _| {
                 let (head, tail) = rest.split_at(param.len());
                 param.copy_from_slice(head);
                 rest = tail;
@@ -768,6 +744,42 @@ mod tests {
         (worker, trainer)
     }
 
+    /// Welcome actors are outside input: each must map its agent's
+    /// observation width to its action width. World-comm's leader acts
+    /// over `[5, 4]` and the other predators over `[5]`, so swapping two
+    /// actors is caught.
+    #[test]
+    fn welcome_actors_must_fit_each_agent() {
+        let config = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::WorldComm, 3);
+        let trainer = Trainer::new(config).expect("trainer builds");
+        let welcome = |agents| Welcome {
+            worker_id: 0,
+            epoch: 0,
+            config,
+            agents,
+            master_rng: trainer.master_rng_state(),
+            env_rng: None,
+            env_steps: 0,
+            samples_since_update: 0,
+            replay_len: 0,
+            episodes: 1,
+            lockstep: true,
+            steps_per_frame: 1,
+        };
+        let good = trainer.agent_states();
+        let widths: Vec<usize> = good.iter().map(|a| a.actor.output_dim()).collect();
+        let j = widths.iter().position(|&w| w != widths[0]).expect("heterogeneous heads");
+        let mut swapped = good.clone();
+        swapped.swap(0, j);
+        let err = Worker::from_welcome(welcome(swapped)).unwrap_err();
+        assert!(matches!(err, DistError::Protocol(_)), "{err}");
+        let mut short = good.clone();
+        short.pop();
+        assert!(matches!(Worker::from_welcome(welcome(short)), Err(DistError::Protocol(_))));
+        let worker = Worker::from_welcome(welcome(good)).expect("matching actors admit");
+        assert_eq!(worker.actors.len(), 3);
+    }
+
     fn actor_bits(actor: &marl_nn::mlp::Mlp) -> Vec<u32> {
         let mut bits = Vec::new();
         actor.visit_params_ref(|p| bits.extend(p.iter().map(|x| x.to_bits())));
@@ -777,7 +789,7 @@ mod tests {
     #[test]
     fn params_install_actor_weights_in_visit_order_after_checking_counts() {
         let (mut worker, trainer) = worker_and_trainer();
-        let before: Vec<Vec<u32>> = worker.agents.iter().map(|a| actor_bits(&a.actor)).collect();
+        let before: Vec<Vec<u32>> = worker.actors.iter().map(actor_bits).collect();
         let mut actors: Vec<Vec<f32>> = trainer
             .actors()
             .enumerate()
@@ -790,16 +802,16 @@ mod tests {
         };
         let err = worker.handle_control(params(actors.clone())).unwrap_err();
         assert!(matches!(err, DistError::Protocol(_)), "{err}");
-        let after: Vec<Vec<u32>> = worker.agents.iter().map(|a| actor_bits(&a.actor)).collect();
+        let after: Vec<Vec<u32>> = worker.actors.iter().map(actor_bits).collect();
         assert_eq!(before, after, "a rejected broadcast must change no actor");
         assert_eq!(worker.epoch, 0);
 
         let last = actors[2].len();
         actors[2].push(last as f32);
         worker.handle_control(params(actors.clone())).expect("well-formed broadcast installs");
-        for (a, sent) in worker.agents.iter().zip(&actors) {
+        for (a, sent) in worker.actors.iter().zip(&actors) {
             let sent_bits: Vec<u32> = sent.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(actor_bits(&a.actor), sent_bits);
+            assert_eq!(actor_bits(a), sent_bits);
         }
         assert_eq!(worker.epoch, 4);
     }

@@ -100,56 +100,6 @@ pub fn physical_deception(n: usize, max_episode_len: usize, seed: u64) -> Partic
     )
 }
 
-/// Vectorized predator-prey: `worlds` copies stepped as one batch.
-pub fn predator_prey_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    use scenarios::simple_tag::{PredatorPrey, PredatorPreyConfig};
-    let scenarios = (0..worlds)
-        .map(|_| Box::new(PredatorPrey::new(PredatorPreyConfig::scaled(n))) as Box<dyn Scenario>)
-        .collect();
-    VecParticleEnv::new(scenarios, max_episode_len, seed)
-}
-
-/// Vectorized cooperative navigation: `worlds` copies stepped as one batch.
-pub fn cooperative_navigation_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    use scenarios::simple_spread::{CooperativeNavigation, CooperativeNavigationConfig};
-    let scenarios = (0..worlds)
-        .map(|_| {
-            Box::new(CooperativeNavigation::new(CooperativeNavigationConfig::scaled(n)))
-                as Box<dyn Scenario>
-        })
-        .collect();
-    VecParticleEnv::new(scenarios, max_episode_len, seed)
-}
-
-/// Vectorized physical deception: `worlds` copies stepped as one batch
-/// (each world holds its own scenario instance so the per-episode goal
-/// landmark stays per-world).
-pub fn physical_deception_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    use scenarios::simple_adversary::{PhysicalDeception, PhysicalDeceptionConfig};
-    let scenarios = (0..worlds)
-        .map(|_| {
-            Box::new(PhysicalDeception::new(PhysicalDeceptionConfig::scaled(n)))
-                as Box<dyn Scenario>
-        })
-        .collect();
-    VecParticleEnv::new(scenarios, max_episode_len, seed)
-}
-
 /// Convenience constructor for the keep-away scenario (`simple_push`) at
 /// `n` trained agents.
 pub fn keep_away(n: usize, max_episode_len: usize, seed: u64) -> ParticleEnv {
@@ -166,29 +116,4 @@ pub fn cooperative_reference(n: usize, max_episode_len: usize, seed: u64) -> Par
 /// (`simple_world_comm`) at `n` trained agents.
 pub fn world_comm(n: usize, max_episode_len: usize, seed: u64) -> ParticleEnv {
     ScenarioId::WorldComm.make_env(n, max_episode_len, seed)
-}
-
-/// Vectorized keep-away: `worlds` copies stepped as one batch.
-pub fn keep_away_vec(n: usize, max_episode_len: usize, seed: u64, worlds: usize) -> VecParticleEnv {
-    ScenarioId::KeepAway.make_vec_env(n, max_episode_len, seed, worlds)
-}
-
-/// Vectorized cooperative reference: `worlds` copies stepped as one batch.
-pub fn cooperative_reference_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    ScenarioId::CooperativeReference.make_vec_env(n, max_episode_len, seed, worlds)
-}
-
-/// Vectorized world-comm: `worlds` copies stepped as one batch.
-pub fn world_comm_vec(
-    n: usize,
-    max_episode_len: usize,
-    seed: u64,
-    worlds: usize,
-) -> VecParticleEnv {
-    ScenarioId::WorldComm.make_vec_env(n, max_episode_len, seed, worlds)
 }

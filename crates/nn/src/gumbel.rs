@@ -1,92 +1,21 @@
 //! Gumbel-softmax relaxation for discrete MARL actions.
 //!
-//! The particle environments use a 5-way discrete action space; MADDPG
-//! handles discrete actions by sampling from a Gumbel-softmax distribution
-//! over the actor's logits, keeping the action differentiable for the
-//! deterministic policy-gradient update.
+//! MADDPG handles discrete actions by relaxing the actor's logits with a
+//! softmax, keeping the action differentiable for the deterministic
+//! policy-gradient update. Action heads may be composite (movement ⊕
+//! communication), so every helper here works per segment: each factor
+//! normalizes on its own. Exploration adds Gumbel noise
+//! ([`crate::rng::standard_gumbel`]) to the logits first and then takes
+//! [`softmax_segments_inplace`] and a per-factor [`argmax_slice`].
 
-use crate::activation::{
-    softmax, softmax_backward, softmax_backward_into, softmax_backward_slice, softmax_inplace,
-    softmax_slice_inplace,
-};
+use crate::activation::{softmax_backward_slice, softmax_slice_inplace};
 use crate::matrix::Matrix;
-use crate::rng::standard_gumbel;
-use rand::Rng;
-
-/// A differentiable Gumbel-softmax sample along with the state needed for
-/// its backward pass.
-#[derive(Debug, Clone)]
-pub struct GumbelSample {
-    /// The relaxed one-hot sample (rows sum to 1).
-    pub value: Matrix,
-    /// Temperature used for the sample.
-    pub temperature: f32,
-}
-
-impl GumbelSample {
-    /// Backpropagates `dL/dvalue` to `dL/dlogits`.
-    pub fn backward(&self, grad_out: &Matrix) -> Matrix {
-        let mut g = softmax_backward(grad_out, &self.value);
-        g.scale(1.0 / self.temperature);
-        g
-    }
-}
-
-/// Backward of the softmax relaxation expressed on raw buffers: given the
-/// relaxed sample `value` and `dL/dvalue`, writes `dL/dlogits` into
-/// `grad_logits` (allocation-free).
-pub fn relaxation_backward_into(
-    grad_out: &Matrix,
-    value: &Matrix,
-    temperature: f32,
-    grad_logits: &mut Matrix,
-) {
-    softmax_backward_into(grad_out, value, grad_logits);
-    grad_logits.scale(1.0 / temperature);
-}
-
-/// Draws a Gumbel-softmax sample `softmax((logits + g) / temperature)`.
-///
-/// # Panics
-///
-/// Panics if `temperature <= 0`.
-pub fn gumbel_softmax_sample<R: Rng + ?Sized>(
-    logits: &Matrix,
-    temperature: f32,
-    rng: &mut R,
-) -> GumbelSample {
-    assert!(temperature > 0.0, "temperature must be positive");
-    let mut noisy = logits.clone();
-    for x in noisy.as_mut_slice() {
-        *x = (*x + standard_gumbel(rng)) / temperature;
-    }
-    GumbelSample { value: softmax(&noisy), temperature }
-}
-
-/// Deterministic relaxation (no Gumbel noise): `softmax(logits / temperature)`.
-pub fn softmax_relaxation(logits: &Matrix, temperature: f32) -> GumbelSample {
-    let mut value = Matrix::default();
-    softmax_relaxation_into(logits, temperature, &mut value);
-    GumbelSample { value, temperature }
-}
-
-/// [`softmax_relaxation`] writing the relaxed sample into a caller-owned
-/// buffer (allocation-free).
-///
-/// # Panics
-///
-/// Panics if `temperature <= 0`.
-pub fn softmax_relaxation_into(logits: &Matrix, temperature: f32, value: &mut Matrix) {
-    assert!(temperature > 0.0, "temperature must be positive");
-    value.copy_from(logits);
-    value.scale(1.0 / temperature);
-    softmax_inplace(value);
-}
 
 /// Applies softmax independently to each segment of each row: the
 /// relaxation of a composite (movement ⊕ communication) action space,
 /// where every factor normalizes on its own. A single segment spanning
-/// the whole row is bitwise identical to [`softmax_inplace`].
+/// the whole row is bitwise identical to
+/// [`softmax_inplace`](crate::activation::softmax_inplace).
 ///
 /// # Panics
 ///
@@ -103,10 +32,10 @@ pub fn softmax_segments_inplace(m: &mut Matrix, segments: &[usize]) {
     }
 }
 
-/// [`softmax_relaxation_into`] with per-segment normalization: writes
+/// The deterministic relaxation of a composite action head: writes
 /// `softmax(logits / temperature)` applied independently to each action
-/// factor. Single-segment spaces reproduce the unsegmented relaxation
-/// bit for bit.
+/// factor. A single segment spanning the row reproduces the whole-row
+/// softmax of `logits / temperature` bit for bit.
 ///
 /// # Panics
 ///
@@ -123,10 +52,13 @@ pub fn softmax_relaxation_segments_into(
     softmax_segments_inplace(value, segments);
 }
 
-/// [`relaxation_backward_into`] with per-segment normalization: each
-/// action factor backpropagates through its own softmax Jacobian. The
-/// trailing `1/temperature` scale is elementwise, so segmenting commutes
-/// with it and a single segment matches the unsegmented path bitwise.
+/// Backward of [`softmax_relaxation_segments_into`]: given the relaxed
+/// sample `value` and `dL/dvalue`, writes `dL/dlogits` into
+/// `grad_logits` (allocation-free). Each action factor backpropagates
+/// through its own softmax Jacobian. The trailing `1/temperature` scale
+/// is elementwise, so segmenting commutes with it and a single segment
+/// matches [`softmax_backward_into`](crate::activation::softmax_backward_into)
+/// followed by that scale bitwise.
 ///
 /// # Panics
 ///
@@ -158,8 +90,7 @@ pub fn relaxation_backward_segments_into(
     grad_logits.scale(1.0 / temperature);
 }
 
-/// First-maximum index of one raw slice (ties break low, matching
-/// [`harden`] and [`argmax_actions`]).
+/// First-maximum index of one raw slice (ties break low).
 pub fn argmax_slice(row: &[f32]) -> usize {
     let mut best = 0;
     for (i, &v) in row.iter().enumerate() {
@@ -170,130 +101,64 @@ pub fn argmax_slice(row: &[f32]) -> usize {
     best
 }
 
-/// Converts relaxed samples to hard one-hot rows (straight-through
-/// discretization used when acting in the environment).
-pub fn harden(sample: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(sample.rows(), sample.cols());
-    for r in 0..sample.rows() {
-        let row = sample.row(r);
-        let mut best = 0;
-        for (i, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = i;
-            }
-        }
-        *out.at_mut(r, best) = 1.0;
-    }
-    out
-}
-
-/// Index of the arg-max action in each row.
-pub fn argmax_actions(sample: &Matrix) -> Vec<usize> {
-    (0..sample.rows())
-        .map(|r| {
-            let row = sample.row(r);
-            let mut best = 0;
-            for (i, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = i;
-                }
-            }
-            best
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::seeded;
-
-    #[test]
-    fn samples_are_distributions() {
-        let mut rng = seeded(21);
-        let logits = Matrix::from_rows(&[&[1.0, 0.0, -1.0], &[0.0, 0.0, 0.0]]);
-        let s = gumbel_softmax_sample(&logits, 1.0, &mut rng);
-        for r in 0..2 {
-            let sum: f32 = s.value.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5);
-        }
-    }
+    use crate::activation::{softmax_backward_into, softmax_inplace};
+    use crate::rng::{seeded, standard_gumbel};
 
     #[test]
     fn low_temperature_approaches_one_hot() {
         let logits = Matrix::row_vector(&[5.0, 0.0, 0.0]);
-        let s = softmax_relaxation(&logits, 0.1);
-        assert!(s.value.at(0, 0) > 0.99);
+        let mut value = Matrix::default();
+        softmax_relaxation_segments_into(&logits, &[3], 0.1, &mut value);
+        assert!(value.at(0, 0) > 0.99);
     }
 
     #[test]
-    fn gumbel_marginals_follow_logits() {
-        // Sampling repeatedly, the argmax frequency should respect the
-        // softmax ordering of the logits.
+    fn gumbel_max_marginals_follow_logits() {
+        // Arg-max of Gumbel-perturbed logits samples the softmax
+        // distribution, so the arg-max frequencies respect its ordering.
         let mut rng = seeded(22);
-        let logits = Matrix::row_vector(&[2.0, 0.0, -2.0]);
+        let logits = [2.0f32, 0.0, -2.0];
         let mut counts = [0usize; 3];
         for _ in 0..3000 {
-            let s = gumbel_softmax_sample(&logits, 1.0, &mut rng);
-            counts[argmax_actions(&s.value)[0]] += 1;
+            let mut row = logits.map(|x| x + standard_gumbel(&mut rng));
+            softmax_slice_inplace(&mut row);
+            counts[argmax_slice(&row)] += 1;
         }
         assert!(counts[0] > counts[1] && counts[1] > counts[2], "{counts:?}");
     }
 
     #[test]
-    fn harden_gives_one_hot() {
-        let m = Matrix::from_rows(&[&[0.2, 0.5, 0.3], &[0.9, 0.05, 0.05]]);
-        let h = harden(&m);
-        assert_eq!(h.as_slice(), &[0.0, 1.0, 0.0, 1.0, 0.0, 0.0]);
-        assert_eq!(argmax_actions(&m), vec![1, 0]);
-    }
-
-    #[test]
-    fn backward_matches_finite_difference() {
-        let logits = Matrix::row_vector(&[0.4, -0.3, 0.1]);
-        let temp = 0.7;
-        let s = softmax_relaxation(&logits, temp);
-        let w = [1.0f32, -2.0, 0.5];
-        let g = s.backward(&Matrix::row_vector(&w));
-        let eps = 1e-3f32;
-        for i in 0..3 {
-            let mut lp = logits.clone();
-            lp.as_mut_slice()[i] += eps;
-            let mut lm = logits.clone();
-            lm.as_mut_slice()[i] -= eps;
-            let f = |l: &Matrix| -> f32 {
-                softmax_relaxation(l, temp)
-                    .value
-                    .as_slice()
-                    .iter()
-                    .zip(&w)
-                    .map(|(a, b)| a * b)
-                    .sum()
-            };
-            let fd = (f(&lp) - f(&lm)) / (2.0 * eps);
-            assert!((fd - g.as_slice()[i]).abs() < 1e-2, "i={i}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "temperature must be positive")]
     fn zero_temperature_rejected() {
-        let _ = softmax_relaxation(&Matrix::row_vector(&[0.0]), 0.0);
+        softmax_relaxation_segments_into(
+            &Matrix::row_vector(&[0.0]),
+            &[1],
+            0.0,
+            &mut Matrix::default(),
+        );
     }
 
+    /// A single segment spanning the row against the unsegmented
+    /// reference: `logits / T` through a whole-row [`softmax_inplace`],
+    /// and [`softmax_backward_into`] scaled by `1/T` — bit for bit.
     #[test]
     fn single_segment_relaxation_is_bitwise_identical_to_full_row() {
         let logits =
             Matrix::from_rows(&[&[0.4, -0.3, 0.1, 2.0, -1.5], &[1.0, 1.0, 0.0, -2.0, 3.0]]);
-        let mut full = Matrix::default();
-        softmax_relaxation_into(&logits, 0.7, &mut full);
+        let mut full = logits.clone();
+        full.scale(1.0 / 0.7);
+        softmax_inplace(&mut full);
         let mut seg = Matrix::default();
         softmax_relaxation_segments_into(&logits, &[5], 0.7, &mut seg);
         assert_eq!(full.as_slice(), seg.as_slice(), "values diverge");
 
         let grad = Matrix::from_rows(&[&[1.0, -2.0, 0.5, 0.0, 0.3], &[0.1, 0.2, 0.3, 0.4, 0.5]]);
         let mut g_full = Matrix::default();
-        relaxation_backward_into(&grad, &full, 0.7, &mut g_full);
+        softmax_backward_into(&grad, &full, &mut g_full);
+        g_full.scale(1.0 / 0.7);
         let mut g_seg = Matrix::default();
         relaxation_backward_segments_into(&grad, &seg, &[5], 0.7, &mut g_seg);
         assert_eq!(g_full.as_slice(), g_seg.as_slice(), "gradients diverge");
@@ -314,26 +179,28 @@ mod tests {
     #[test]
     fn segmented_backward_matches_finite_difference() {
         let logits = Matrix::row_vector(&[0.4, -0.3, 0.1, 1.2, -0.8]);
-        let segments = [3usize, 2];
         let temp = 0.7;
-        let mut value = Matrix::default();
-        softmax_relaxation_segments_into(&logits, &segments, temp, &mut value);
         let w = [1.0f32, -2.0, 0.5, 0.3, -0.7];
-        let mut g = Matrix::default();
-        relaxation_backward_segments_into(&Matrix::row_vector(&w), &value, &segments, temp, &mut g);
-        let eps = 1e-3f32;
-        for i in 0..5 {
-            let mut lp = logits.clone();
-            lp.as_mut_slice()[i] += eps;
-            let mut lm = logits.clone();
-            lm.as_mut_slice()[i] -= eps;
-            let f = |l: &Matrix| -> f32 {
-                let mut v = Matrix::default();
-                softmax_relaxation_segments_into(l, &segments, temp, &mut v);
-                v.as_slice().iter().zip(&w).map(|(a, b)| a * b).sum()
-            };
-            let fd = (f(&lp) - f(&lm)) / (2.0 * eps);
-            assert!((fd - g.as_slice()[i]).abs() < 1e-2, "i={i}");
+        for segments in [&[5usize][..], &[3, 2]] {
+            let mut value = Matrix::default();
+            softmax_relaxation_segments_into(&logits, segments, temp, &mut value);
+            let mut g = Matrix::default();
+            let grad = Matrix::row_vector(&w);
+            relaxation_backward_segments_into(&grad, &value, segments, temp, &mut g);
+            let eps = 1e-3f32;
+            for i in 0..5 {
+                let mut lp = logits.clone();
+                lp.as_mut_slice()[i] += eps;
+                let mut lm = logits.clone();
+                lm.as_mut_slice()[i] -= eps;
+                let f = |l: &Matrix| -> f32 {
+                    let mut v = Matrix::default();
+                    softmax_relaxation_segments_into(l, segments, temp, &mut v);
+                    v.as_slice().iter().zip(&w).map(|(a, b)| a * b).sum()
+                };
+                let fd = (f(&lp) - f(&lm)) / (2.0 * eps);
+                assert!((fd - g.as_slice()[i]).abs() < 1e-2, "{segments:?} i={i}");
+            }
         }
     }
 

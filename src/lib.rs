@@ -8,8 +8,10 @@
 //!
 //! * [`nn`] — dense network substrate (matrices, MLPs, Adam,
 //!   Gumbel-softmax);
-//! * [`env`] — the multi-agent particle environments (predator-prey,
-//!   cooperative navigation);
+//! * [`env`](mod@env) — the multi-agent particle environments: the six
+//!   MPE scenarios (predator-prey, cooperative navigation, physical
+//!   deception, keep-away, cooperative reference, world-comm) behind a
+//!   scenario registry, and the batched K-world environment;
 //! * [`core`] — replay storage plus the paper's sampling optimizations
 //!   (locality-aware, PER, information-prioritized, layout reorganization);
 //! * [`perf`] — phase timers and the cache/TLB simulator standing in for
@@ -17,7 +19,8 @@
 //! * [`obs`] — runtime telemetry: zero-allocation span tracing, the
 //!   metrics registry with JSONL/Prometheus exporters, and the live
 //!   `perf_event` counter backend;
-//! * [`algo`] — MADDPG / MATD3 / PER-MADDPG trainers;
+//! * [`algo`] — MADDPG / MATD3 / PER-MADDPG trainers over one rollout
+//!   engine;
 //! * [`dist`] — the fault-tolerant distributed actor–learner runtime
 //!   (CRC-framed transports, heartbeat supervision, quarantine,
 //!   reconnect with backoff, worker-process restart);

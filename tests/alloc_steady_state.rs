@@ -10,6 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -40,6 +41,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// The counters are process-wide, so a test that arms them while another
+/// test thread is still warming up would count that thread's heap
+/// traffic. Each measurement holds this lock from set-up to assertion.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Runs warmed-up steady-state updates with the allocator armed and
 /// asserts no heap traffic. `telemetry` optionally attaches a live
 /// [`marl_repro::obs::Telemetry`] first — span recording, metric
@@ -48,6 +58,7 @@ fn assert_zero_alloc_updates(telemetry: bool, seed: u64) {
     use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
     use marl_repro::core::SamplerConfig;
 
+    let _serial = serial();
     let mut cfg = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
         .with_batch_size(32)
         .with_buffer_capacity(4096)
@@ -91,21 +102,22 @@ fn assert_zero_alloc_updates(telemetry: bool, seed: u64) {
     assert_eq!(t.update_iterations(), 8);
 }
 
-/// The vectorized rollout counterpart: once the first episode has sized
-/// the rollout scratch (obs/one-hot matrices, per-world buffers) and the
+/// The rollout counterpart: once the first episodes have sized the
+/// engine's buffers (obs/one-hot matrices, per-world buffers) and the
 /// replay ring has wrapped once, whole episodes — batched inference,
 /// SoA physics steps, replay pushes, and the scheduled updates they
-/// trigger — run without heap traffic.
-fn assert_zero_alloc_vec_rollout(telemetry: bool, seed: u64) {
+/// trigger — run without heap traffic, at one world as at K.
+fn assert_zero_alloc_vec_rollout(telemetry: bool, seed: u64, num_envs: usize) {
     use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
     use marl_repro::core::SamplerConfig;
 
+    let _serial = serial();
     let mut cfg = TrainConfig::paper_defaults(Algorithm::Maddpg, Task::PredatorPrey, 3)
         .with_batch_size(32)
         .with_buffer_capacity(4096)
         .with_sampler(SamplerConfig::Uniform)
         .with_update_threads(1)
-        .with_num_envs(4)
+        .with_num_envs(num_envs)
         .with_seed(seed);
     cfg.sampling_threads = 1;
     cfg.warmup = 64;
@@ -119,11 +131,12 @@ fn assert_zero_alloc_vec_rollout(telemetry: bool, seed: u64) {
         t.attach_telemetry(tel);
     }
 
-    // Warm-up episodes: size the rollout scratch, pass warmup so the
-    // update path runs, and wrap the replay ring (4 worlds x 25 steps x
-    // 3 agents = 300 rows per episode; 14 episodes > 4096 capacity).
-    for _ in 0..14 {
-        t.run_episode_vec().unwrap();
+    // Warm-up episodes: size the engine's buffers, pass warmup so the
+    // update path runs, and wrap the replay ring (num_envs x 25 joint
+    // rows per episode; enough episodes to push past 4096 rows).
+    let rows_per_episode = num_envs * cfg.max_episode_len;
+    for _ in 0..cfg.buffer_capacity / rows_per_episode + 2 {
+        t.run_episode().unwrap();
     }
     assert!(t.update_iterations() > 0, "warm-up must reach the update path");
 
@@ -131,14 +144,14 @@ fn assert_zero_alloc_vec_rollout(telemetry: bool, seed: u64) {
     REALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     for _ in 0..2 {
-        t.run_episode_vec().unwrap();
+        t.run_episode().unwrap();
     }
     ARMED.store(false, Ordering::SeqCst);
 
     assert_eq!(
         (ALLOCS.load(Ordering::SeqCst), REALLOCS.load(Ordering::SeqCst)),
         (0, 0),
-        "steady-state vectorized rollout must not touch the heap (telemetry: {telemetry})"
+        "steady-state rollout must not touch the heap (K={num_envs}, telemetry: {telemetry})"
     );
 }
 
@@ -154,10 +167,14 @@ fn steady_state_update_allocates_nothing_with_telemetry() {
 
 #[test]
 fn steady_state_vec_rollout_allocates_nothing() {
-    assert_zero_alloc_vec_rollout(false, 9);
+    for num_envs in [1, 4] {
+        assert_zero_alloc_vec_rollout(false, 9, num_envs);
+    }
 }
 
 #[test]
 fn steady_state_vec_rollout_allocates_nothing_with_telemetry() {
-    assert_zero_alloc_vec_rollout(true, 9);
+    for num_envs in [1, 4] {
+        assert_zero_alloc_vec_rollout(true, 9, num_envs);
+    }
 }

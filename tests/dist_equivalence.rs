@@ -6,14 +6,14 @@
 //! digest chain **bitwise** — same drawn indices, same losses, same
 //! parameter hashes, same chain checksum, for both algorithms.
 //!
-//! The worker replicates `run_episode`'s draw order against its own
-//! copy of the nets and hands its master-RNG state to the learner at
-//! every update boundary; any drift in that replication (an extra RNG
-//! draw, a misordered exploration branch, a replay-mirror off-by-one)
-//! shows up here as the first divergent digest field.
+//! The worker steps the same one-world rollout engine as the trainer,
+//! with the actors from its `Welcome`, and hands its master-RNG state to
+//! the learner at every update boundary; any drift in that handoff (an
+//! extra RNG draw, a misordered exploration branch, a replay-mirror
+//! off-by-one) shows up here as the first divergent digest field.
 
 use marl_repro::algo::trace::UpdateTraceRecorder;
-use marl_repro::algo::{Algorithm, Task, TrainConfig, Trainer};
+use marl_repro::algo::{Algorithm, ExplorationSchedule, Task, TrainConfig, Trainer};
 use marl_repro::core::SamplerConfig;
 use marl_repro::dist::{
     loopback_pair, run_worker, Backoff, DistError, Learner, LearnerOptions, StreamTransport,
@@ -28,20 +28,18 @@ mod common;
 
 /// The golden-seed configuration both sides run: scalar kernel (machine
 /// independent), warmup 64, updates every 10 samples.
-fn dist_config(algorithm: Algorithm) -> TrainConfig {
-    let mut c = common::seeded_config(
-        algorithm,
-        Task::PredatorPrey,
-        3,
-        SamplerConfig::Uniform,
-        4,
-        32,
-        1024,
-        4242,
-    )
-    .with_kernel(KernelChoice::Scalar);
+fn dist_config(algorithm: Algorithm, task: Task, exploration: ExplorationSchedule) -> TrainConfig {
+    let mut c =
+        common::seeded_config(algorithm, task, 3, SamplerConfig::Uniform, 4, 32, 1024, 4242)
+            .with_kernel(KernelChoice::Scalar);
     c.update_every = 10;
+    c.exploration = exploration;
     c
+}
+
+/// The predator-prey configuration at the paper's fixed exploration.
+fn pp_config(algorithm: Algorithm) -> TrainConfig {
+    dist_config(algorithm, Task::PredatorPrey, ExplorationSchedule::default())
 }
 
 /// Runs the single-process trainer and returns its digest chain.
@@ -82,7 +80,7 @@ fn dist_lockstep_digests(cfg: TrainConfig) -> Vec<marl_repro::algo::trace::Updat
 /// bitwise.
 #[test]
 fn maddpg_lockstep_loopback_is_bitwise_identical() {
-    let cfg = dist_config(Algorithm::Maddpg);
+    let cfg = pp_config(Algorithm::Maddpg);
     let single = single_process_digests(cfg);
     let dist = dist_lockstep_digests(cfg);
     assert!(!single.is_empty(), "run must record updates");
@@ -95,18 +93,46 @@ fn maddpg_lockstep_loopback_is_bitwise_identical() {
 /// MATD3 (twin critics, delayed policy): same bitwise equivalence.
 #[test]
 fn matd3_lockstep_loopback_is_bitwise_identical() {
-    let cfg = dist_config(Algorithm::Matd3);
+    let cfg = pp_config(Algorithm::Matd3);
     let single = single_process_digests(cfg);
     let dist = dist_lockstep_digests(cfg);
     assert!(!single.is_empty(), "run must record updates");
     assert_eq!(single, dist);
 }
 
+/// Lockstep stays bitwise beyond the predator-prey paper setting: on
+/// world-comm (heterogeneous heads, the leader's movement ⊕ broadcast
+/// `[5, 4]` beside movement-only `[5]`), on cooperative-reference
+/// (movement ⊕ utterance `[5, 10]`), and under an annealed ε-greedy
+/// schedule, whose random-action branch draws extra master-RNG values.
+#[test]
+fn lockstep_is_bitwise_identical_across_heads_and_exploration() {
+    let heads = |task: Task| -> Vec<Vec<usize>> {
+        let env = task.make_env(3, 25, 0);
+        env.action_spaces().iter().map(|s| s.segments().to_vec()).collect()
+    };
+    assert!(heads(Task::WorldComm).contains(&vec![5, 4]));
+    assert!(heads(Task::WorldComm).contains(&vec![5]));
+    assert!(heads(Task::CooperativeReference).contains(&vec![5, 10]));
+    let cases = [
+        ("world-comm", Task::WorldComm, ExplorationSchedule::default()),
+        ("cooperative-reference", Task::CooperativeReference, ExplorationSchedule::default()),
+        ("pp-annealed", Task::PredatorPrey, ExplorationSchedule::annealed(500)),
+    ];
+    for (tag, task, exploration) in cases {
+        let cfg = dist_config(Algorithm::Maddpg, task, exploration);
+        let single = single_process_digests(cfg);
+        let dist = dist_lockstep_digests(cfg);
+        assert!(!single.is_empty(), "{tag}: run must record updates");
+        assert_eq!(single, dist, "{tag}");
+    }
+}
+
 /// The equivalence also holds at a different seed and episode budget —
 /// it is structural, not a coincidence of the golden seed.
 #[test]
 fn lockstep_equivalence_holds_off_the_golden_seed() {
-    let mut cfg = dist_config(Algorithm::Maddpg).with_seed(99).with_episodes(6);
+    let mut cfg = pp_config(Algorithm::Maddpg).with_seed(99).with_episodes(6);
     cfg.update_every = 25;
     let single = single_process_digests(cfg);
     let dist = dist_lockstep_digests(cfg);
@@ -118,7 +144,7 @@ fn lockstep_equivalence_holds_off_the_golden_seed() {
 /// path itself is deterministic.
 #[test]
 fn dist_lockstep_is_deterministic() {
-    let cfg = dist_config(Algorithm::Maddpg);
+    let cfg = pp_config(Algorithm::Maddpg);
     let a = dist_lockstep_digests(cfg);
     let b = dist_lockstep_digests(cfg);
     assert!(!a.is_empty());
@@ -131,7 +157,7 @@ fn dist_lockstep_is_deterministic() {
 /// the exported agent states as a user would consume them).
 #[test]
 fn lockstep_final_parameters_match_single_process() {
-    let cfg = dist_config(Algorithm::Maddpg);
+    let cfg = pp_config(Algorithm::Maddpg);
     let mut trainer = Trainer::new(cfg).expect("trainer builds");
     trainer.train().expect("trains");
     let single_states = serde_json::to_string(&trainer.agent_states()).unwrap();
@@ -167,7 +193,7 @@ fn lockstep_final_parameters_match_single_process() {
 /// run must complete and stay bitwise-equal to the in-process trainer.
 #[test]
 fn socket_lockstep_drains_heartbeat_acks_and_stays_bitwise_identical() {
-    let mut cfg = dist_config(Algorithm::Maddpg).with_episodes(72).with_buffer_capacity(2048);
+    let mut cfg = pp_config(Algorithm::Maddpg).with_episodes(72).with_buffer_capacity(2048);
     cfg.warmup = 1500;
     cfg.update_every = 50;
     let single = single_process_digests(cfg);

@@ -130,6 +130,27 @@ fn vectorized_k8_comm_golden_trace_matches_committed_digest() {
     }
 }
 
+/// The ε-greedy golden: the K = 1 predator-prey shape under an annealed
+/// exploration schedule (ε starts at 0.1, temperature at 1.0), so the
+/// random-action branch of the rollout — its extra master-RNG draws and
+/// the multi-hot overwrite — is pinned by a committed digest chain. No
+/// other golden runs with a nonzero ε.
+#[test]
+fn annealed_exploration_golden_trace_matches_committed_digest() {
+    let mut cfg =
+        common::golden_config(Algorithm::Maddpg, SamplerConfig::Uniform, LayoutMode::PerAgent);
+    cfg.exploration = marl_repro::algo::ExplorationSchedule::annealed(500);
+    let digests = golden::record_run(cfg).expect("training failed");
+    assert!(!digests.is_empty(), "annealed run recorded no updates");
+    if let Err(report) = golden::check_or_bless(
+        "maddpg_uniform_per_agent_annealed",
+        &golden::describe_config(&cfg),
+        &digests,
+    ) {
+        panic!("{report}");
+    }
+}
+
 /// Recording twice under one configuration yields identical digest
 /// chains — the trace is a pure function of the config, so the committed
 /// goldens can only fail when behaviour actually changes.

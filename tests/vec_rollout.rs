@@ -1,8 +1,7 @@
-//! Vectorized rollout engine integration tests: the K = 1 vectorized
-//! path must be bitwise-identical to the legacy scalar rollout, K > 1
-//! runs must be seeded-deterministic and resumable through the on-disk
-//! checkpoint format, and checkpoints written before the engine existed
-//! must still restore and resume bitwise.
+//! Rollout engine integration tests: K = 1 forks no per-world streams,
+//! K > 1 runs must be seeded-deterministic and resumable through the
+//! on-disk checkpoint format, and checkpoints written before the
+//! per-world fields existed must still restore and resume bitwise.
 
 use marl_repro::algo::checkpoint::{load_checkpoint_with_fallback, write_checkpoint_file};
 use marl_repro::algo::explore::ExplorationSchedule;
@@ -43,14 +42,13 @@ fn reward_bits(rewards: &[f32]) -> Vec<u32> {
     rewards.iter().map(|r| r.to_bits()).collect()
 }
 
-/// The headline equivalence property: forcing episodes through
-/// [`Trainer::run_episode_vec`] at K = 1 reproduces the legacy scalar
-/// rollout bit for bit — per-episode rewards, every counter, the master
-/// and environment RNG streams, the replay bytes, and the network
-/// weights after scheduled updates. Runs each task and, separately, an
-/// annealed schedule so the ε-greedy branch is exercised too.
+/// At K = 1 the engine explores from the master RNG and steps world 0
+/// on the `env_rng` stream alone: a checkpoint forks no noise or
+/// extra-world env streams, so its per-world fields stay empty. Runs
+/// each task and, separately, an annealed schedule so the ε-greedy
+/// branch is exercised too; two same-seed runs agree bit for bit.
 #[test]
-fn k1_vectorized_path_is_bitwise_identical_to_scalar() {
+fn k1_forks_no_noise_or_env_streams() {
     let mut configs = vec![
         ("pp", base_config(Task::PredatorPrey, 99)),
         ("cn", base_config(Task::CooperativeNavigation, 99)),
@@ -61,63 +59,26 @@ fn k1_vectorized_path_is_bitwise_identical_to_scalar() {
     configs.push(("pp-annealed", eps));
 
     for (tag, cfg) in configs {
-        let mut scalar = Trainer::new(cfg).unwrap();
-        let mut vec = Trainer::new(cfg).unwrap();
-        let mut scalar_rewards = Vec::new();
-        let mut vec_rewards = Vec::new();
-        for _ in 0..4 {
-            scalar_rewards.push(scalar.run_episode().unwrap());
-            vec_rewards.push(vec.run_episode_vec().unwrap());
-        }
-        assert_eq!(reward_bits(&scalar_rewards), reward_bits(&vec_rewards), "{tag}: rewards");
-
-        let (s_ckpt, s_replay) = scalar.checkpoint_full().unwrap();
-        let (v_ckpt, v_replay) = vec.checkpoint_full().unwrap();
-        let s_run = s_ckpt.run.as_ref().unwrap();
-        let v_run = v_ckpt.run.as_ref().unwrap();
-        assert_eq!(s_run.env_steps, v_run.env_steps, "{tag}: env steps");
-        assert_eq!(s_run.samples_since_update, v_run.samples_since_update, "{tag}");
-        assert_eq!(s_run.master_rng, v_run.master_rng, "{tag}: master RNG stream");
-        assert_eq!(s_run.env_rng, v_run.env_rng, "{tag}: env RNG stream");
-        assert_eq!(s_run.telemetry, v_run.telemetry, "{tag}: sampling telemetry");
-        assert!(v_run.rollout_rngs.is_empty(), "{tag}: K=1 must not fork noise streams");
-        assert!(v_run.vec_env_rngs.is_empty(), "{tag}: K=1 must not fork env streams");
-        assert_eq!(s_replay, v_replay, "{tag}: replay bytes");
-        assert_eq!(weights_json(&scalar), weights_json(&vec), "{tag}: weights");
+        let run = || {
+            let mut t = Trainer::new(cfg).unwrap();
+            let rewards: Vec<f32> = (0..4).map(|_| t.run_episode().unwrap()).collect();
+            let (ckpt, replay) = t.checkpoint_full().unwrap();
+            (reward_bits(&rewards), ckpt.run.unwrap(), replay, weights_json(&t))
+        };
+        let (rewards, run_a, replay, weights) = run();
+        assert!(run_a.rollout_rngs.is_empty(), "{tag}: K=1 must not fork noise streams");
+        assert!(run_a.vec_env_rngs.is_empty(), "{tag}: K=1 must not fork env streams");
+        assert!(run_a.env_steps == 4 * cfg.max_episode_len as u64, "{tag}: env steps");
+        let (rewards_b, run_b, replay_b, weights_b) = run();
+        assert_eq!(rewards, rewards_b, "{tag}: rewards");
+        assert_eq!(
+            (run_a.master_rng, run_a.env_rng, run_a.telemetry),
+            (run_b.master_rng, run_b.env_rng, run_b.telemetry),
+            "{tag}: RNG streams"
+        );
+        assert_eq!(replay, replay_b, "{tag}: replay bytes");
+        assert_eq!(weights, weights_b, "{tag}: weights");
     }
-}
-
-/// A K = 1 checkpoint written by the vectorized path restores into a
-/// legacy scalar trainer (and vice versa) and resumes bitwise — the
-/// world-0 environment stream occupies the same `env_rng` slot in both.
-#[test]
-fn k1_checkpoints_interoperate_between_paths() {
-    let cfg = base_config(Task::PredatorPrey, 7);
-    // Reference: three scalar episodes straight through.
-    let mut reference = Trainer::new(cfg).unwrap();
-    reference.run_episode().unwrap();
-    reference.run_episode().unwrap();
-    let third_ref = reference.run_episode().unwrap();
-
-    // Vec-path checkpoint after two episodes → scalar trainer resumes.
-    let mut vec = Trainer::new(cfg).unwrap();
-    vec.run_episode_vec().unwrap();
-    vec.run_episode_vec().unwrap();
-    let (ckpt, replay) = vec.checkpoint_full().unwrap();
-    let mut scalar = Trainer::new(cfg).unwrap();
-    scalar.restore_full(ckpt, &replay).unwrap();
-    let third_scalar = scalar.run_episode().unwrap();
-    assert_eq!(third_scalar.to_bits(), third_ref.to_bits(), "scalar resume from vec checkpoint");
-
-    // Scalar-path checkpoint after two episodes → vec path resumes.
-    let mut legacy = Trainer::new(cfg).unwrap();
-    legacy.run_episode().unwrap();
-    legacy.run_episode().unwrap();
-    let (ckpt, replay) = legacy.checkpoint_full().unwrap();
-    let mut resumed = Trainer::new(cfg).unwrap();
-    resumed.restore_full(ckpt, &replay).unwrap();
-    let third_vec = resumed.run_episode_vec().unwrap();
-    assert_eq!(third_vec.to_bits(), third_ref.to_bits(), "vec resume from scalar checkpoint");
 }
 
 /// K = 8 training is a pure function of the seed: two runs agree bitwise
@@ -176,9 +137,9 @@ fn k8_resume_from_file_is_bitwise_identical() {
     assert_eq!(weights_json(&resumed), weights_json(&straight), "weights");
 }
 
-/// Forward compatibility: a checkpoint written before the vectorized
-/// engine existed (no `rollout_rngs`/`vec_env_rngs` keys in the JSON)
-/// still deserializes, restores, and resumes bitwise on the scalar path.
+/// Forward compatibility: a checkpoint written before the per-world
+/// fields existed (no `rollout_rngs`/`vec_env_rngs` keys in the JSON)
+/// still deserializes, restores, and resumes bitwise at K = 1.
 #[test]
 fn pre_vectorization_checkpoints_still_restore_and_resume() {
     let cfg = base_config(Task::PredatorPrey, 55);
@@ -189,9 +150,9 @@ fn pre_vectorization_checkpoints_still_restore_and_resume() {
     first.train().unwrap();
     let (ckpt, replay) = first.checkpoint_full().unwrap();
 
-    // Re-encode the checkpoint JSON with the vectorized-engine fields
-    // stripped, exactly as an older binary would have written it. Both
-    // are empty on the scalar path, so the compact encoding is fixed.
+    // Re-encode the checkpoint JSON with the per-world fields stripped,
+    // exactly as an older binary would have written it. Both are empty
+    // at K = 1, so the compact encoding is fixed.
     let json = serde_json::to_string(&ckpt).unwrap();
     let stripped = json.replace(",\"rollout_rngs\":[],\"vec_env_rngs\":[]", "");
     assert_ne!(stripped, json, "the vectorized fields must have been present");
